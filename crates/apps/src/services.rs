@@ -791,7 +791,7 @@ mod tests {
         let mut requests: Vec<ServiceRequest> = (0..4)
             .map(|i| {
                 let pose = ExerciseKind::Squat.pose_at_phase(i as f32 / 4.0);
-                let id = store.insert(renderer.render(&pose, i, i as u64));
+                let id = store.insert(renderer.render(&pose, i, i));
                 ServiceRequest::new("detect", Payload::FrameRef(id))
             })
             .collect();
@@ -834,7 +834,7 @@ mod tests {
                 } else {
                     ExerciseKind::Pushup
                 };
-                let id = store.insert(renderer.render(&kind.pose_at_phase(0.3), i, i as u64));
+                let id = store.insert(renderer.render(&kind.pose_at_phase(0.3), i, i));
                 ServiceRequest::new("classify", Payload::FrameRef(id))
             })
             .collect();

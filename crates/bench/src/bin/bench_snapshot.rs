@@ -391,10 +391,9 @@ fn wire_section(quick: bool, out: &mut String) {
         net.rx_zero_copy_frames, net.rx_payload_copies, net.rx_chunk_rotations, iovecs_per_write
     );
 
-    let _ = write!(
+    let _ = writeln!(
         out,
-        r#"  "wire": {{"frames": {frames}, "payload_bytes": {payload_len}, "legacy_mb_s": {legacy_mb_s:.1}, "legacy_frames_s": {legacy_frames_s:.0}, "legacy_allocs_per_frame": {legacy_apf:.2}, "zero_copy_mb_s": {zero_mb_s:.1}, "zero_copy_frames_s": {zero_frames_s:.0}, "allocs_per_frame": {zero_apf:.2}, "speedup_x": {speedup:.2}, "alloc_reduction_pct": {alloc_reduction_pct:.1}, "rx_zero_copy_frames": {}, "rx_payload_copies": {}, "tx_iovecs_per_write": {iovecs_per_write:.1}}},
-"#,
+        r#"  "wire": {{"frames": {frames}, "payload_bytes": {payload_len}, "legacy_mb_s": {legacy_mb_s:.1}, "legacy_frames_s": {legacy_frames_s:.0}, "legacy_allocs_per_frame": {legacy_apf:.2}, "zero_copy_mb_s": {zero_mb_s:.1}, "zero_copy_frames_s": {zero_frames_s:.0}, "allocs_per_frame": {zero_apf:.2}, "speedup_x": {speedup:.2}, "alloc_reduction_pct": {alloc_reduction_pct:.1}, "rx_zero_copy_frames": {}, "rx_payload_copies": {}, "tx_iovecs_per_write": {iovecs_per_write:.1}}},"#,
         net.rx_zero_copy_frames, net.rx_payload_copies,
     );
 }
@@ -598,10 +597,9 @@ fn fanout_section(quick: bool, out: &mut String) {
          {cached_us:.1} us ({:+.1}% time)",
         improvement_pct(uncached_us, cached_us)
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        r#"  "fanout_x{DESTINATIONS}": {{"encode_each_us": {uncached_us:.1}, "cached_us": {cached_us:.1}, "speedup_x": {:.1}}},
-"#,
+        r#"  "fanout_x{DESTINATIONS}": {{"encode_each_us": {uncached_us:.1}, "cached_us": {cached_us:.1}, "speedup_x": {:.1}}},"#,
         uncached_us / cached_us.max(1e-9),
     );
 }
@@ -831,7 +829,7 @@ impl Module for SatSink {
     fn on_event(&mut self, event: Event, ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
         if let Event::Message(_) = event {
             self.seen += 1;
-            if self.seen % self.workers.max(1) == 0 {
+            if self.seen.is_multiple_of(self.workers.max(1)) {
                 ctx.signal_source()?;
             }
         }

@@ -28,9 +28,10 @@
 //! * [`status`] — the coordinator's crash-safe `key=value` status file,
 //!   the observation channel the harness (and operators) read.
 //! * [`signals`] — minimal POSIX signal plumbing (flag-setting handlers
-//!   and `kill(2)` for fault injection), isolated here because the rest
-//!   of the workspace forbids unsafe code.
+//!   and `kill(2)` for fault injection), as safe wrappers over
+//!   [`videopipe_net::sys`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coordinator;

@@ -3,15 +3,16 @@
 //! Two needs, both tiny: binaries must notice SIGTERM/SIGINT so they can
 //! drain instead of dying mid-frame, and the chaos harness must deliver
 //! SIGKILL/SIGSTOP/SIGCONT/SIGTERM to child processes it spawned. Both
-//! are raw syscalls the vendored dependency set doesn't wrap, so this
-//! module declares the two libc entry points itself. The handler does the
-//! only async-signal-safe thing possible: it sets a process-global atomic
-//! flag that the main loops poll.
-//!
-//! This is the single `unsafe` island in the workspace (every other crate
-//! is `#![forbid(unsafe_code)]`); keep it that way.
+//! are raw syscalls the vendored dependency set doesn't wrap. Their
+//! bindings live in [`videopipe_net::sys`], the library crates' single
+//! `unsafe` island and the only module carrying `allow(unsafe_code)`; this
+//! crate is `#![forbid(unsafe_code)]` and only wraps those safe calls.
+//! Keep it that way. The installed handler does the only async-signal-safe
+//! thing possible: it sets a process-global atomic flag that the main
+//! loops poll.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use videopipe_net::sys;
 
 /// SIGINT (Ctrl-C).
 pub const SIGINT: i32 = 2;
@@ -24,56 +25,35 @@ pub const SIGSTOP: i32 = 19;
 /// SIGCONT (resume a stopped process; chaos "partition heals").
 pub const SIGCONT: i32 = 18;
 
+/// Set by [`request_termination`]; real signals land in `sys`'s bitmask.
 static TERMINATE: AtomicBool = AtomicBool::new(false);
-
-type SigHandler = extern "C" fn(i32);
-
-extern "C" {
-    fn signal(signum: i32, handler: SigHandler) -> usize;
-    #[link_name = "kill"]
-    fn libc_kill(pid: i32, sig: i32) -> i32;
-}
-
-extern "C" fn on_terminate(_sig: i32) {
-    // Async-signal-safe by construction: one relaxed atomic store, no
-    // allocation, no locks, no I/O.
-    TERMINATE.store(true, Ordering::Relaxed);
-}
 
 /// Installs flag-setting handlers for SIGTERM and SIGINT. Idempotent.
 /// After this, [`termination_requested`] turns true the moment either
 /// signal arrives.
 pub fn install_termination_handler() {
-    // SAFETY: `signal(2)` with a handler that only performs an atomic
-    // store is async-signal-safe; the handler has C ABI and never unwinds.
-    unsafe {
-        signal(SIGTERM, on_terminate);
-        signal(SIGINT, on_terminate);
-    }
+    // Both are catchable signal numbers, so installation cannot fail.
+    let _ = sys::catch_signal(SIGTERM);
+    let _ = sys::catch_signal(SIGINT);
 }
 
 /// Whether SIGTERM/SIGINT has been received since
 /// [`install_termination_handler`].
 pub fn termination_requested() -> bool {
-    TERMINATE.load(Ordering::Relaxed)
+    TERMINATE.load(Ordering::Relaxed) || sys::signal_caught(SIGTERM) || sys::signal_caught(SIGINT)
 }
 
-/// Test hook: pretend a termination signal arrived (same flag the real
-/// handler sets).
+/// Test hook: pretend a termination signal arrived.
 pub fn request_termination() {
     TERMINATE.store(true, Ordering::Relaxed);
 }
 
 /// Sends `sig` to `pid` via `kill(2)`. Returns `false` when the syscall
-/// fails (no such process, no permission). Used by the chaos harness to
-/// SIGKILL/SIGSTOP/SIGCONT real child processes it spawned.
+/// fails (no such process, no permission), and for pid 0 (never signal
+/// "every process in our group" by accident). Used by the chaos harness
+/// to SIGKILL/SIGSTOP/SIGCONT real child processes it spawned.
 pub fn kill(pid: u32, sig: i32) -> bool {
-    if pid == 0 {
-        // Never signal "every process in our group" by accident.
-        return false;
-    }
-    // SAFETY: plain syscall wrapper; any pid/sig combination is memory-safe.
-    unsafe { libc_kill(pid as i32, sig) == 0 }
+    sys::kill(pid, sig)
 }
 
 #[cfg(test)]

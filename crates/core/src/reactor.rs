@@ -38,7 +38,10 @@
 //! * **One I/O thread.** TCP ingress uses the non-blocking
 //!   [`PollEndpoint`](videopipe_net::PollEndpoint) poll loop: one thread
 //!   drains every endpoint of every pipeline and feeds completed frames to
-//!   the readiness queues. No per-connection reader threads.
+//!   the readiness queues. No per-connection reader threads. When a poll
+//!   pass finds nothing, the thread blocks in `poll(2)` on every socket
+//!   plus a waker socket pair that deploy and shutdown write to, so idle
+//!   ingress costs no wake-ups and a frame is read as soon as it lands.
 //!
 //! Thread count is `workers (≈ cores) + 1 timer + 1 I/O (TCP only)`,
 //! independent of pipeline count. Two deliberate semantic deltas from the
@@ -65,13 +68,17 @@ use crate::slo::{SloAction, SloController};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::{Read, Write};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use videopipe_media::{codec, FrameStore};
 use videopipe_net::{
-    InprocHub, InprocReceiver, MessageKind, MsgReceiver, MsgSender, PollEndpoint, WireMessage,
+    InprocHub, InprocReceiver, InprocSender, MessageKind, MsgReceiver, MsgSender, NetError,
+    PollEndpoint, WireMessage,
 };
 
 /// Executor knobs for a [`ReactorRuntime`].
@@ -154,6 +161,10 @@ const LOCAL_QUEUE_CAP: usize = 256;
 /// Frames one TCP endpoint may deliver per I/O poll pass before the
 /// shared I/O thread moves on to its siblings.
 const IO_POLL_BUDGET: usize = 256;
+
+/// How long the I/O thread waits before retrying when `poll(2)` itself
+/// fails, so an error cannot turn its readiness wait into a spin.
+const IO_WAIT_RETRY: Duration = Duration::from_millis(10);
 
 /// Per-device frame-store capacity under the reactor. Small on purpose:
 /// in-flight frames per pipeline are bounded by credits, and 10k pipelines
@@ -455,6 +466,37 @@ impl TimerWheel {
 struct IoEndpoint {
     pipe: Arc<PipeRt>,
     endpoint: PollEndpoint,
+    /// Hub senders resolved on first use per channel, so steady-state
+    /// delivery takes no hub lock and allocates nothing.
+    senders: HashMap<String, InprocSender>,
+}
+
+impl IoEndpoint {
+    /// One budgeted poll pass: hands each completed frame to its channel's
+    /// inbox and wakes the channel's task. Frames for a channel that is
+    /// not bound yet (a peer racing the deploy) are dropped.
+    fn poll(&mut self, core: &Core) -> usize {
+        let IoEndpoint {
+            pipe,
+            endpoint,
+            senders,
+        } = self;
+        endpoint.poll_budget(IO_POLL_BUDGET, &mut |msg| {
+            let sender = match senders.get(msg.channel.as_str()) {
+                Some(sender) => sender,
+                None => match pipe.shared.hub.connect(&msg.channel) {
+                    Ok(sender) => senders.entry(msg.channel.clone()).or_insert(sender),
+                    Err(_) => return,
+                },
+            };
+            let task = pipe.task_for(&msg.channel);
+            if sender.send(msg).is_ok() {
+                if let Some(task) = task {
+                    core.wake(&task);
+                }
+            }
+        })
+    }
 }
 
 /// Per-pipeline runtime registration: the pipeline's shared state, its
@@ -852,29 +894,48 @@ impl Core {
         }
     }
 
-    fn io_loop(&self, registry: &Receiver<IoEndpoint>) {
+    /// The I/O thread: budgeted poll passes over every TCP endpoint while
+    /// they deliver, and a `poll(2)` readiness wait on all their sockets
+    /// plus `waker` once a pass finds nothing. `add_pipeline` and
+    /// shutdown write a byte to the waker's peer after publishing new
+    /// endpoints or setting `stop`, so the wait needs no timeout except
+    /// while an endpoint's `accept` is backing off.
+    fn io_loop(&self, registry: &Receiver<IoEndpoint>, mut waker: UnixStream) {
         let mut endpoints: Vec<IoEndpoint> = Vec::new();
+        let mut fds = Vec::new();
         while !self.stop.load(Ordering::SeqCst) {
             while let Ok(ep) = registry.try_recv() {
                 endpoints.push(ep);
             }
-            let mut delivered = 0usize;
-            for ep in &mut endpoints {
-                let pipe = Arc::clone(&ep.pipe);
-                // Budgeted poll: one hot endpoint cannot pin the shared
-                // I/O thread; frames wake the pipeline's home worker.
-                delivered += ep.endpoint.poll_budget(IO_POLL_BUDGET, &mut |msg| {
-                    let chan = msg.channel.clone();
-                    if let Ok(sender) = pipe.shared.hub.connect(&chan) {
-                        if sender.send(msg).is_ok() {
-                            self.wake_channel(&pipe, &chan);
-                        }
-                    }
-                });
+            // Budgeted polls: one hot endpoint cannot pin the shared I/O
+            // thread. Any delivery means another pass before waiting: a
+            // capped pass may have left frames decoded in user space,
+            // which no readiness wait would report.
+            let delivered: usize = endpoints.iter_mut().map(|ep| ep.poll(self)).sum();
+            if delivered > 0 {
+                continue;
             }
-            if delivered == 0 {
-                std::thread::sleep(Duration::from_millis(1));
+            fds.clear();
+            fds.push(waker.as_raw_fd());
+            for ep in &endpoints {
+                ep.endpoint.append_fds(&mut fds);
             }
+            let timeout = endpoints
+                .iter()
+                .filter_map(|ep| ep.endpoint.accept_paused_until())
+                .min()
+                .map(|at| at.saturating_duration_since(Instant::now()));
+            if videopipe_net::sys::wait_readable(&fds, timeout).is_err() {
+                // poll(2) itself failed (ENOMEM): pace the retry on the
+                // registry rather than spin.
+                if let Ok(ep) = registry.recv_timeout(IO_WAIT_RETRY) {
+                    endpoints.push(ep);
+                }
+            }
+            // Drain the wake bytes; the registry and `stop` are re-read at
+            // the top of the loop.
+            let mut sink = [0u8; 64];
+            while matches!(waker.read(&mut sink), Ok(n) if n > 0) {}
         }
     }
 
@@ -1989,6 +2050,9 @@ pub struct ReactorRuntime {
     threads: Vec<std::thread::JoinHandle<()>>,
     io_tx: Sender<IoEndpoint>,
     io_rx: Option<Receiver<IoEndpoint>>,
+    /// Write end of the I/O thread's waker (set once the thread starts): a
+    /// byte here ends its readiness wait to pick up new endpoints or `stop`.
+    io_waker: Option<UnixStream>,
     /// Read-chunk pool shared by every TCP ingress endpoint this runtime
     /// binds: the I/O thread drives them all, so chunks recycle across
     /// pipelines instead of each endpoint cold-starting its own pool.
@@ -2049,21 +2113,38 @@ impl ReactorRuntime {
             io_tx,
             // The I/O thread is spawned lazily by the first TCP pipeline.
             io_rx: Some(io_rx),
+            io_waker: None,
             ingress_pool: Arc::new(videopipe_net::BufferPool::default()),
             pipeline_names: Vec::new(),
             task_ranges: Vec::new(),
         }
     }
 
-    fn ensure_io_thread(&mut self) {
-        if let Some(rx) = self.io_rx.take() {
+    fn ensure_io_thread(&mut self) -> Result<(), PipelineError> {
+        if self.io_rx.is_some() {
+            let (waker, wait_end) = UnixStream::pair().map_err(NetError::from)?;
+            // Neither end may block: a full waker already means "wake up",
+            // and the I/O thread drains its end until it would block.
+            waker.set_nonblocking(true).map_err(NetError::from)?;
+            wait_end.set_nonblocking(true).map_err(NetError::from)?;
+            let rx = self.io_rx.take().expect("checked above");
             let core = Arc::clone(&self.core);
             self.threads.push(
                 std::thread::Builder::new()
                     .name("vp-reactor-io".into())
-                    .spawn(move || core.io_loop(&rx))
+                    .spawn(move || core.io_loop(&rx, wait_end))
                     .expect("spawn reactor io"),
             );
+            self.io_waker = Some(waker);
+        }
+        Ok(())
+    }
+
+    /// Ends the I/O thread's readiness wait, if it runs.
+    fn wake_io(&self) {
+        if let Some(mut waker) = self.io_waker.as_ref() {
+            // WouldBlock means unread wake bytes are already pending.
+            let _ = waker.write(&[1]);
         }
     }
 
@@ -2215,13 +2296,15 @@ impl ReactorRuntime {
         });
         self.core.pipelines.write().push(Arc::clone(&pipe));
         if !io_endpoints.is_empty() {
+            self.ensure_io_thread()?;
             for endpoint in io_endpoints {
                 let _ = self.io_tx.send(IoEndpoint {
                     pipe: Arc::clone(&pipe),
                     endpoint,
+                    senders: HashMap::new(),
                 });
             }
-            self.ensure_io_thread();
+            self.wake_io();
         }
         let mut initial_wakes = Vec::new();
 
@@ -2624,6 +2707,7 @@ impl ReactorRuntime {
             wq.parker.unpark();
         }
         self.core.timers.kick();
+        self.wake_io();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -2898,6 +2982,79 @@ mod tests {
             report.errors
         );
         assert!(report.errors.is_empty(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn reactor_io_drains_a_burst_beyond_the_poll_budget_in_order() {
+        /// A source that never emits: the only traffic is the test's.
+        struct Silent;
+        impl Module for Silent {
+            fn on_event(&mut self, _: Event, _: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
+                Ok(())
+            }
+        }
+        struct Recorder(Arc<Mutex<Vec<u64>>>);
+        impl Module for Recorder {
+            fn on_event(
+                &mut self,
+                event: Event,
+                _: &mut dyn ModuleCtx,
+            ) -> Result<(), PipelineError> {
+                if let Event::Message(msg) = event {
+                    if let Payload::Count(n) = msg.payload {
+                        self.0.lock().push(n);
+                    }
+                }
+                Ok(())
+            }
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let record = Arc::clone(&seen);
+        let mut modules = ModuleRegistry::new();
+        modules.register("Silent", || Box::new(Silent));
+        modules.register("Recorder", move || Box::new(Recorder(Arc::clone(&record))));
+        let spec = PipelineSpec::new("burst")
+            .with_module(ModuleSpec::new("src", "Silent").with_next("sink"))
+            .with_module(ModuleSpec::new("sink", "Recorder"));
+        let devices = vec![DeviceSpec::new("a", 1.0), DeviceSpec::new("b", 1.0)];
+        let placement = Placement::new().assign("src", "a").assign("sink", "b");
+        let plan = plan(&spec, &devices, &placement).unwrap();
+        let mut rt = ReactorRuntime::new(ReactorConfig::default());
+        let config = RuntimeConfig {
+            transport: EdgeTransport::Tcp,
+            ..RuntimeConfig::default()
+        };
+        rt.add_pipeline(&plan, &modules, &ServiceRegistry::new(), config)
+            .unwrap();
+        let addr = rt.core.pipelines.read()[0].shared.router.tcp_peers["b"]
+            .peer()
+            .to_string();
+        // Several budgets' worth of frames in ONE write, then silence: a
+        // read pass decodes more frames than its budget lets it deliver,
+        // and the last leftovers sit decoded with the socket quiet.
+        let burst = 4 * IO_POLL_BUDGET as u64 + 7;
+        let channel = mod_chan("burst", "sink");
+        let mut bytes = Vec::new();
+        for n in 0..burst {
+            videopipe_net::write_frame(
+                &mut bytes,
+                &WireMessage::data(channel.clone(), n, 0, Payload::Count(n).encode()),
+            )
+            .unwrap();
+        }
+        let mut peer = std::net::TcpStream::connect(&addr).unwrap();
+        peer.write_all(&bytes).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while (seen.lock().len() as u64) < burst {
+            assert!(
+                Instant::now() < deadline,
+                "only {} of {burst} frames arrived",
+                seen.lock().len()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        rt.finish();
+        assert_eq!(*seen.lock(), (0..burst).collect::<Vec<_>>());
     }
 
     #[test]

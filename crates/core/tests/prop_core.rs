@@ -218,34 +218,31 @@ impl Module for SlotWorker {
                 Payload::Count(n) => n,
                 _ => return Err(PipelineError::BadPayload("expected a count")),
             };
-            match ctx.call_service("parity", ServiceRequest::new("op", msg.payload)) {
-                Ok(resp) => {
-                    let v = match resp.payload {
-                        Payload::Count(v) => v,
-                        ref other => {
-                            self.violations
-                                .lock()
-                                .unwrap()
-                                .push(format!("slot {} got non-count {other:?}", self.slot));
-                            0
-                        }
-                    };
-                    if v != 0 {
-                        if v != sent * 2 {
-                            self.stale_served.fetch_add(1, Ordering::SeqCst);
-                        }
-                        if (v / 2) % SLOT_STRIDE != self.slot {
-                            self.violations.lock().unwrap().push(format!(
-                                "slot {} served frame of slot {} (sent {sent}, got {v})",
-                                self.slot,
-                                (v / 2) % SLOT_STRIDE
-                            ));
-                        }
+            // Cold last-known-good cache: an error drops the frame, it is
+            // never substituted with someone else's.
+            if let Ok(resp) = ctx.call_service("parity", ServiceRequest::new("op", msg.payload)) {
+                let v = match resp.payload {
+                    Payload::Count(v) => v,
+                    ref other => {
+                        self.violations
+                            .lock()
+                            .unwrap()
+                            .push(format!("slot {} got non-count {other:?}", self.slot));
+                        0
+                    }
+                };
+                if v != 0 {
+                    if v != sent * 2 {
+                        self.stale_served.fetch_add(1, Ordering::SeqCst);
+                    }
+                    if (v / 2) % SLOT_STRIDE != self.slot {
+                        self.violations.lock().unwrap().push(format!(
+                            "slot {} served frame of slot {} (sent {sent}, got {v})",
+                            self.slot,
+                            (v / 2) % SLOT_STRIDE
+                        ));
                     }
                 }
-                // Cold last-known-good cache: the frame drops, it is
-                // never substituted with someone else's.
-                Err(_) => {}
             }
             ctx.call_module("sink", Payload::Count(1))?;
         }
@@ -262,7 +259,7 @@ impl Module for CreditSink {
     fn on_event(&mut self, event: Event, ctx: &mut dyn ModuleCtx) -> Result<(), PipelineError> {
         if let Event::Message(_) = event {
             self.seen += 1;
-            if self.seen % self.workers.max(1) == 0 {
+            if self.seen.is_multiple_of(self.workers.max(1)) {
                 ctx.signal_source()?;
             }
         }
@@ -288,7 +285,7 @@ impl PerSlotParity {
                 self.handled.fetch_add(1, Ordering::SeqCst);
                 let tick = n / SLOT_STRIDE;
                 let slot = n % SLOT_STRIDE;
-                if (tick + slot) % self.modulus == 0 {
+                if (tick + slot).is_multiple_of(self.modulus) {
                     Err(PipelineError::Service {
                         service: "parity".into(),
                         reason: format!("injected failure for {n}"),

@@ -18,6 +18,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::io::Read;
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -578,7 +579,16 @@ pub struct PollEndpoint {
     conns: Vec<PollConn>,
     accepted: u64,
     pool: Arc<BufferPool>,
+    /// Set when `accept` failed hard (e.g. EMFILE): until then the
+    /// endpoint neither accepts nor offers the listener for readiness
+    /// waits, since the unaccepted peer keeps it readable.
+    accept_paused_until: Option<Instant>,
 }
+
+/// How long a [`PollEndpoint`] stops accepting after `accept` fails with
+/// anything but `WouldBlock`. The failed peer stays in the backlog, so the
+/// listener stays readable: retrying at once would spin a readiness loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 struct PollConn {
     stream: TcpStream,
@@ -612,6 +622,7 @@ impl PollEndpoint {
             conns: Vec::new(),
             accepted: 0,
             pool,
+            accept_paused_until: None,
         })
     }
 
@@ -645,7 +656,13 @@ impl PollEndpoint {
     /// loop while its siblings starve; undelivered bytes stay in the
     /// kernel socket buffer (and the reassembly buffer) for the next pass.
     pub fn poll_budget(&mut self, budget: usize, sink: &mut dyn FnMut(WireMessage)) -> usize {
-        loop {
+        if self
+            .accept_paused_until
+            .is_some_and(|until| Instant::now() >= until)
+        {
+            self.accept_paused_until = None;
+        }
+        while self.accept_paused_until.is_none() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     if stream.set_nonblocking(true).is_ok() {
@@ -658,7 +675,15 @@ impl PollEndpoint {
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    continue
+                }
+                Err(_) => self.accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF),
             }
         }
         let mut delivered = 0usize;
@@ -734,6 +759,25 @@ impl PollEndpoint {
             true
         });
         delivered
+    }
+
+    /// Appends the descriptors a readiness wait on this endpoint watches:
+    /// every open connection, plus the listener unless accepting is paused
+    /// (see [`PollEndpoint::accept_paused_until`]). A connection that hung
+    /// up or failed reports ready, and the next poll pass drops it.
+    pub fn append_fds(&self, fds: &mut Vec<RawFd>) {
+        if self.accept_paused_until.is_none() {
+            fds.push(self.listener.as_raw_fd());
+        }
+        fds.extend(self.conns.iter().map(|conn| conn.stream.as_raw_fd()));
+    }
+
+    /// When `accept` failed hard on the last pass (e.g. EMFILE), the
+    /// instant the endpoint tries again; a readiness wait should end by
+    /// then, since the listener is left out of
+    /// [`PollEndpoint::append_fds`] until a poll pass after it.
+    pub fn accept_paused_until(&self) -> Option<Instant> {
+        self.accept_paused_until
     }
 }
 
@@ -1041,6 +1085,48 @@ mod tests {
             .collect();
         assert_eq!(a, (0..50).collect::<Vec<_>>());
         assert_eq!(b, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn poll_endpoint_fds_signal_data_and_hangup_then_go_quiet() {
+        use crate::sys::wait_readable;
+        let wait = Some(Duration::from_secs(5));
+        let mut ep = PollEndpoint::bind("127.0.0.1:0").unwrap();
+        let mut fds = Vec::new();
+        ep.append_fds(&mut fds);
+        assert_eq!(fds.len(), 1, "an idle endpoint watches only its listener");
+        let mut raw = TcpStream::connect(format!("127.0.0.1:{}", ep.local_port())).unwrap();
+        crate::wire::write_frame(&mut raw, &WireMessage::signal("x", 7)).unwrap();
+        // Readiness alone drives the endpoint: every wait ends because a
+        // descriptor is ready (the pending peer, then its bytes).
+        let mut got = Vec::new();
+        while got.is_empty() {
+            fds.clear();
+            ep.append_fds(&mut fds);
+            assert!(wait_readable(&fds, wait).unwrap() > 0, "no readiness");
+            ep.poll(&mut |m| got.push(m));
+        }
+        assert_eq!(got[0].seq, 7);
+        assert_eq!(ep.connections(), 1);
+        // A hang-up is readiness too; the next pass drops the connection,
+        // and afterwards nothing is ready, so a waiter blocks.
+        drop(raw);
+        fds.clear();
+        ep.append_fds(&mut fds);
+        assert_eq!(fds.len(), 2);
+        assert!(
+            wait_readable(&fds, wait).unwrap() > 0,
+            "hang-up not reported"
+        );
+        assert_eq!(ep.poll(&mut |_| {}), 0);
+        assert_eq!(ep.connections(), 0);
+        fds.clear();
+        ep.append_fds(&mut fds);
+        assert_eq!(
+            wait_readable(&fds, Some(Duration::from_millis(50))).unwrap(),
+            0
+        );
+        assert_eq!(ep.accept_paused_until(), None);
     }
 
     #[test]

@@ -2404,7 +2404,7 @@ mod tests {
         );
         // Flap rate is bounded by the dwell: at most one move (hence at
         // most one reversal) per dwell period.
-        let max_moves = (duration.as_secs() / dwell.as_secs()) as u64;
+        let max_moves = duration.as_secs() / dwell.as_secs();
         assert!(summary.flaps >= 1, "recovery must reverse direction");
         assert!(summary.flaps < max_moves, "{summary:?}");
     }

@@ -8,11 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (offline, deny warnings)"
-cargo clippy --offline --all-targets -- -D warnings
+echo "==> cargo clippy (offline, deny warnings, whole workspace)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test (whole workspace)"
+cargo test -q --workspace
 
 echo "==> chaos smoke (fixed-seed device crash + self-healing failover)"
 # Deterministic virtual-time replay: a mid-pipeline device dies and the

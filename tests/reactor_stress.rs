@@ -119,18 +119,25 @@ fn service_registry(chaos: Option<ChaosMode>) -> ServiceRegistry {
     services
 }
 
-/// OS threads of this process, from /proc/self/status (Linux CI target).
-fn os_thread_count() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
+/// Live reactor threads in this process: tasks under `/proc/self/task`
+/// named `vp-reactor-*` (Linux CI target). Counting only the runtime's
+/// own threads keeps libtest's harness threads out of the measurement.
+fn reactor_thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .map(|tasks| {
+            tasks
+                .filter_map(Result::ok)
+                .filter(|task| {
+                    std::fs::read_to_string(task.path().join("comm"))
+                        .is_ok_and(|name| name.starts_with("vp-reactor-"))
+                })
+                .count()
+        })
         .unwrap_or(0)
 }
 
 /// Serializes the two chaos-stress variants: each deploys 1,000 pipelines
-/// and measures process-wide thread counts, so overlapping runs would see
+/// and measures reactor thread counts, so overlapping runs would see
 /// each other's threads and load.
 static STRESS_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -159,8 +166,15 @@ fn chaos_stress(workers: usize) {
         workers,
         ..ReactorConfig::default()
     });
-    let threads_before = os_thread_count();
     let base_threads = rt.thread_count();
+    // A thread names itself once it starts running: wait until every
+    // thread `new` spawned carries its `vp-reactor-*` name.
+    let named_by = Instant::now() + Duration::from_secs(10);
+    while reactor_thread_count() < base_threads {
+        assert!(Instant::now() < named_by, "reactor threads never named");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let threads_before = reactor_thread_count();
     for i in 0..PIPELINES {
         let services = match i % 7 {
             0 => &flaky,
@@ -190,10 +204,10 @@ fn chaos_stress(workers: usize) {
     assert_eq!(rt.pipeline_count(), PIPELINES);
     // Deploying 1,000 pipelines must not spawn a single extra thread.
     assert_eq!(rt.thread_count(), base_threads);
-    let threads_after = os_thread_count();
+    let threads_after = reactor_thread_count();
     assert!(
         threads_after <= threads_before,
-        "deploy grew the process thread count: {threads_before} -> {threads_after}"
+        "deploy grew the reactor thread count: {threads_before} -> {threads_after}"
     );
 
     let started = Instant::now();
